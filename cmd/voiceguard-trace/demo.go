@@ -11,6 +11,7 @@ package main
 // generator ran, not a parallel construction that could drift.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -122,7 +123,7 @@ func generateDemo(recorder *telemetry.FlightRecorder, n int, seed int64, withASV
 		return 0, err
 	}
 	for i, ds := range sessions {
-		if _, err := sys.VerifyTraced(ds.traceID, ds.session); err != nil {
+		if _, err := sys.VerifyContext(context.Background(), ds.traceID, ds.session); err != nil {
 			return i, fmt.Errorf("verifying session %s: %w", ds.traceID, err)
 		}
 	}

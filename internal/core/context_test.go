@@ -2,8 +2,8 @@ package core
 
 // Deadline tests: VerifyContext must bound the cascade by its request
 // context — abandoning speculative stages, never converting a timeout
-// into a biometric verdict, and staying byte-for-byte compatible with
-// VerifyTraced when the context cannot cancel.
+// into a biometric verdict, and deciding exactly like the no-deadline
+// Verify when the context cannot cancel.
 
 import (
 	"context"
@@ -45,7 +45,7 @@ func TestVerifyContextNilAndBackgroundMatchVerifyTraced(t *testing.T) {
 	victim := speech.RandomProfile("victim", rand.New(rand.NewSource(21)))
 	session := genuineSessionFor(t, victim, "135792", 21)
 
-	want, err := sys.VerifyTraced("req-ctx-1", session)
+	want, err := sys.Verify(session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestVerifyContextNilAndBackgroundMatchVerifyTraced(t *testing.T) {
 		}
 		if got.Accepted != want.Accepted || got.FailedStage != want.FailedStage ||
 			len(got.Stages) != len(want.Stages) {
-			t.Errorf("%s: decision %+v diverges from VerifyTraced %+v", name, got, want)
+			t.Errorf("%s: decision %+v diverges from Verify %+v", name, got, want)
 		}
 	}
 }
@@ -162,13 +162,14 @@ func TestVerifyContextAbandonedStageNeverRejects(t *testing.T) {
 	session := genuineSessionFor(t, victim, "135792", 25)
 	// The hook cancels the context from inside the first admitted stage,
 	// so the remaining speculative stages hit a dead context at their
-	// admission checks while the fan-out itself still completes.
-	var cancel context.CancelFunc
-	sys.StageHook = func(ctx context.Context, st Stage) { cancel() }
+	// admission checks while the fan-out itself still completes. Each
+	// iteration's cancel travels in its own context: a stage detached in
+	// an earlier iteration may still enter the hook during a later one.
+	type cancelKey struct{}
+	sys.StageHook = func(ctx context.Context, st Stage) { ctx.Value(cancelKey{}).(context.CancelFunc)() }
 	for i := 0; i < 10; i++ {
-		var ctx context.Context
-		ctx, cancel = context.WithCancel(context.Background())
-		d, err := sys.VerifyContext(ctx, "req-race", session)
+		ctx, cancel := context.WithCancel(context.Background())
+		d, err := sys.VerifyContext(context.WithValue(ctx, cancelKey{}, cancel), "req-race", session)
 		cancel()
 		switch {
 		case err == nil:

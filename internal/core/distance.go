@@ -67,15 +67,21 @@ func (v *DistanceVerifier) VerifySpan(span *telemetry.Span, g *trajectory.Gestur
 	res.Evidence[0] = EvidenceValue{Metric: EvidenceDistanceCM, Value: est.Distance * 100}
 	// Score: margin below the distance gate (positive = inside).
 	res.Score = v.MaxDistance - est.Distance
+	// Each gate is written as its pass condition, so non-finite evidence
+	// (NaN compares false) fails closed.
+	turned := est.Turn >= v.MinTurn
+	near := est.Distance <= v.MaxDistance
+	arcLike := est.Residual <= v.MaxResidual
+	centered := est.SweepRadialStd <= v.MaxRadialStd
 	switch {
-	case est.Turn < v.MinTurn:
+	case !turned:
 		res.Detail = fmt.Sprintf("sweep turn %.2f rad below minimum %.2f", est.Turn, v.MinTurn)
-	case est.Distance > v.MaxDistance:
+	case !near:
 		res.Detail = fmt.Sprintf("source distance %.1f cm exceeds Dt %.1f cm",
 			est.Distance*100, v.MaxDistance*100)
-	case est.Residual > v.MaxResidual:
+	case !arcLike:
 		res.Detail = fmt.Sprintf("trajectory not arc-like (residual %.1f mm)", est.Residual*1000)
-	case est.SweepRadialStd > v.MaxRadialStd:
+	case !centered:
 		res.Detail = fmt.Sprintf("sweep not centered on sound source (radial std %.1f mm)",
 			est.SweepRadialStd*1000)
 	default:

@@ -3,7 +3,7 @@ package core
 // Evidence-pack bridging: stable content digests for the models the
 // cascade consults and the session bytes it consumes, plus the projection
 // of a Decision into the pack's portable record form. Model digests hash
-// the exact persisted form (core/persist JSON, whose map keys Go encodes
+// the exact persisted form (the gmm/svm Save JSON, whose map keys Go encodes
 // sorted), so the same trained state always digests identically and a
 // replayer can prove it rebuilt the models the original verdict used.
 
@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 
 	"voiceguard/internal/audio"
@@ -64,14 +65,17 @@ func (v *SpeakerVerifier) ModelDigests() (map[string]string, error) {
 		}
 		out["asv/isv"] = evidence.Digest(buf.Bytes())
 	}
-	for name, ver := range v.users {
+	v.mu.RLock()
+	users, isvUsers := maps.Clone(v.users), maps.Clone(v.isvUsers)
+	v.mu.RUnlock()
+	for name, ver := range users {
 		buf.Reset()
 		if err := ver.Speaker.Save(&buf); err != nil {
 			return nil, fmt.Errorf("core: digesting speaker model %q: %w", name, err)
 		}
 		out["asv/user/"+name] = evidence.Digest(buf.Bytes())
 	}
-	for name, spk := range v.isvUsers {
+	for name, spk := range isvUsers {
 		ref, err := json.Marshal(spk.Ref())
 		if err != nil {
 			return nil, fmt.Errorf("core: digesting ISV user %q: %w", name, err)

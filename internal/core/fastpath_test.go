@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -274,5 +275,69 @@ func TestFastPathModelCacheAndReenroll(t *testing.T) {
 	}
 	if m := metrics.Misses.Value(); m != 2 {
 		t.Errorf("re-enrolled model was not recompiled (misses=%d, want 2)", m)
+	}
+}
+
+// TestEnrollConcurrentWithScore re-enrolls a user while other goroutines
+// score and verify the same user (run it under -race). Afterwards the
+// fast path's digest memo may hold only models that are still enrolled.
+func TestEnrollConcurrentWithScore(t *testing.T) {
+	f := loadFastFixture(t)
+	v := f.v
+	if err := v.EnableFastPath(FastPathConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	rng := newTestRand(930)
+	user := speech.RandomProfile("raceuser", rng)
+	sessions := [][][]*audio.Signal{
+		{renderUtterances(t, user, "171717", 2, rng)},
+		{renderUtterances(t, user, "989898", 2, rng)},
+	}
+	probe := renderUtterances(t, user, "171717", 1, rng)[0]
+	if err := v.Enroll("raceuser", sessions[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= 6; i++ {
+			if err := v.Enroll("raceuser", sessions[i%2]); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if _, err := v.Score("raceuser", probe); err != nil {
+					errs <- err
+				}
+				if res := v.Verify("raceuser", probe); res.Elapsed <= 0 {
+					errs <- errors.New("verify left Elapsed unset")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	v.fast.mu.Lock()
+	defer v.fast.mu.Unlock()
+	for ver := range v.fast.digests {
+		enrolled := false
+		for _, cur := range v.users {
+			enrolled = enrolled || cur == ver
+		}
+		if !enrolled {
+			t.Error("digest memo pins a replaced speaker model")
+		}
 	}
 }

@@ -205,10 +205,14 @@ func (d *LoudspeakerDetector) judgeSpan(span *telemetry.Span, m Metrics, res *St
 	if rateMargin < res.Score {
 		res.Score = rateMargin
 	}
+	// Both gates are written as pass conditions, so non-finite evidence
+	// (NaN compares false) fails closed.
+	smallSwing := m.Swing < d.Mt
+	slowChange := m.MaxRate < d.Bt
 	switch {
-	case m.Swing >= d.Mt:
+	case !smallSwing:
 		res.Detail = fmt.Sprintf("magnetic swing %.1f µT ≥ Mt %.1f µT", m.Swing, d.Mt)
-	case m.MaxRate >= d.Bt:
+	case !slowChange:
 		res.Detail = fmt.Sprintf("magnetic rate %.0f µT/s ≥ βt %.0f µT/s", m.MaxRate, d.Bt)
 	default:
 		res.Pass = true

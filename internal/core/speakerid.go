@@ -49,6 +49,10 @@ type SpeakerVerifier struct {
 	// CalibrateThreshold.
 	Threshold float64 // unit: score
 
+	// mu guards users and isvUsers. It is held only to look up or store
+	// an enrolled model, never while scoring, so a re-enrollment and a
+	// running verification never wait for each other.
+	mu       sync.RWMutex
 	users    map[string]*gmm.Verifier
 	isvUsers map[string]*gmm.ISVSpeaker
 
@@ -78,8 +82,9 @@ type FastPathConfig struct {
 
 // fastASV is the compiled scoring state behind the fast path: the
 // compiled UBM, the speaker-model cache, the optional batching seam, and
-// a per-user memo of speaker-model digests (computing a digest
-// serializes the model, which must not happen per request).
+// a memo of speaker-model digests keyed by the enrolled model itself, so
+// an entry can never hand one model another model's digest (computing a
+// digest serializes the model, which must not happen per request).
 type fastASV struct {
 	topC        int
 	ubm         *gmm.ScoringModel
@@ -87,7 +92,7 @@ type fastASV struct {
 	shortlister UBMShortlister
 
 	mu      sync.Mutex
-	digests map[string]string
+	digests map[*gmm.Verifier]string
 }
 
 // SpeakerVerifierConfig configures training.
@@ -229,21 +234,25 @@ func (v *SpeakerVerifier) Enroll(user string, sessions [][]*audio.Signal) error 
 		if err != nil {
 			return fmt.Errorf("core: ISV enrollment for %q: %w", user, err)
 		}
+		v.mu.Lock()
 		v.isvUsers[user] = spk
+		v.mu.Unlock()
 	default:
 		ver, err := gmm.NewVerifier(v.ubm, all, v.relevance)
 		if err != nil {
 			return fmt.Errorf("core: GMM enrollment for %q: %w", user, err)
 		}
+		v.mu.Lock()
+		old := v.users[user]
 		v.users[user] = ver
-		if f := v.fast; f != nil {
-			// Re-enrollment produces a new model: drop the stale digest
-			// memo so the next score compiles the fresh one (the old
-			// cache entry ages out by LRU).
+		if f := v.fast; f != nil && old != nil {
+			// Re-enrollment replaces the model: forget the old model's
+			// digest (its compiled cache entry ages out by LRU).
 			f.mu.Lock()
-			delete(f.digests, user)
+			delete(f.digests, old)
 			f.mu.Unlock()
 		}
+		v.mu.Unlock()
 	}
 	return nil
 }
@@ -269,18 +278,22 @@ func (v *SpeakerVerifier) ScoreSpan(span *telemetry.Span, user string, utt *audi
 	defer sc.End()
 	switch v.backend {
 	case BackendISV:
+		v.mu.RLock()
 		spk, ok := v.isvUsers[user]
+		v.mu.RUnlock()
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 		}
 		return spk.ScoreSpan(sc, frames)
 	default:
+		v.mu.RLock()
 		ver, ok := v.users[user]
+		v.mu.RUnlock()
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 		}
 		if f := v.fast; f != nil {
-			return f.score(sc, user, ver, frames)
+			return v.fastScore(f, sc, user, ver, frames)
 		}
 		return ver.ScoreSpan(sc, frames), nil
 	}
@@ -351,7 +364,7 @@ func (v *SpeakerVerifier) EnableFastPath(cfg FastPathConfig) error {
 	if cache == nil {
 		cache = gmm.NewModelCache(0, gmm.CacheMetrics{})
 	}
-	v.fast = &fastASV{topC: cfg.TopC, ubm: sm, cache: cache, digests: map[string]string{}}
+	v.fast = &fastASV{topC: cfg.TopC, ubm: sm, cache: cache, digests: map[*gmm.Verifier]string{}}
 	return nil
 }
 
@@ -387,10 +400,10 @@ func (v *SpeakerVerifier) SetUBMShortlister(b UBMShortlister) error {
 	return nil
 }
 
-// score runs one fast-path verification: UBM shortlist (direct or
+// fastScore runs one fast-path verification: UBM shortlist (direct or
 // batched), cached speaker-model compile, shortlist-restricted speaker
 // pass, LLR.
-func (f *fastASV) score(span *telemetry.Span, user string, ver *gmm.Verifier, frames [][]float64) (float64, error) {
+func (v *SpeakerVerifier) fastScore(f *fastASV, span *telemetry.Span, user string, ver *gmm.Verifier, frames [][]float64) (float64, error) {
 	if len(frames) == 0 {
 		return math.Inf(-1), nil
 	}
@@ -409,7 +422,7 @@ func (f *fastASV) score(span *telemetry.Span, user string, ver *gmm.Verifier, fr
 	if err != nil {
 		return 0, fmt.Errorf("core: UBM shortlist for %q: %w", user, err)
 	}
-	sm, err := f.speakerModel(user, ver)
+	sm, err := v.speakerModel(f, user, ver)
 	if err != nil {
 		return 0, err
 	}
@@ -424,11 +437,11 @@ func (f *fastASV) score(span *telemetry.Span, user string, ver *gmm.Verifier, fr
 	return llr, nil
 }
 
-// speakerModel returns the user's compiled speaker model, memoizing the
-// model digest per user and compiling through the LRU cache.
-func (f *fastASV) speakerModel(user string, ver *gmm.Verifier) (*gmm.ScoringModel, error) {
+// speakerModel returns the compiled model of ver, user's enrolled
+// model, memoizing its digest and compiling through the LRU cache.
+func (v *SpeakerVerifier) speakerModel(f *fastASV, user string, ver *gmm.Verifier) (*gmm.ScoringModel, error) {
 	f.mu.Lock()
-	dig, ok := f.digests[user]
+	dig, ok := f.digests[ver]
 	f.mu.Unlock()
 	if !ok {
 		var err error
@@ -436,9 +449,15 @@ func (f *fastASV) speakerModel(user string, ver *gmm.Verifier) (*gmm.ScoringMode
 		if err != nil {
 			return nil, fmt.Errorf("core: digesting speaker model %q: %w", user, err)
 		}
-		f.mu.Lock()
-		f.digests[user] = dig
-		f.mu.Unlock()
+		// Memoize only while ver is still the user's model: a score that
+		// overlapped a re-enrollment must not pin the replaced model.
+		v.mu.RLock()
+		if v.users[user] == ver {
+			f.mu.Lock()
+			f.digests[ver] = dig
+			f.mu.Unlock()
+		}
+		v.mu.RUnlock()
 	}
 	sm, err := f.cache.Get(dig, func() (*gmm.ScoringModel, error) { return gmm.Compile(ver.Speaker) })
 	if err != nil {

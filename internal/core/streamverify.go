@@ -7,20 +7,23 @@ import (
 	"time"
 
 	"voiceguard/internal/audio"
+	"voiceguard/internal/parallel"
 	"voiceguard/internal/sensors"
 	"voiceguard/internal/soundfield"
 	"voiceguard/internal/telemetry"
 	"voiceguard/internal/trajectory"
 )
 
-// StreamVerifier evaluates a verification session incrementally as its
-// channels arrive over the streaming protocol. Chunks accumulate into
-// per-channel buffers; a stage is admitted the moment every channel it
-// reads is complete, and the session REJECTS the instant any admitted
-// stage fails — without waiting for the rest of the upload. ACCEPT still
-// requires every configured stage to run and pass at Finish, so the
-// cascade semantics (and the never-fabricate-REJECT deadline guarantee)
-// match System.VerifyContext exactly.
+// StreamVerifier is the cascade engine (Fig. 4): the one place stages are
+// admitted, run, abandoned and decided. It has two feeders. The frame
+// stream offers channels chunk by chunk; System.VerifyContext loads a
+// complete session at once. Chunks accumulate into per-channel buffers;
+// a stage is admitted the moment every channel it reads is complete, and
+// the session REJECTS the instant any admitted stage fails — without
+// waiting for the rest of the upload. Stages admitted at the same moment
+// run concurrently (the complete-session feeder admits all of them
+// together). ACCEPT requires every configured stage to run and pass, and
+// a deadline surfaces as an error, never as a fabricated REJECT.
 //
 // One extra early exit runs before its channel completes: each
 // magnetometer chunk is re-checked via settledMetrics, whose statistics
@@ -50,9 +53,66 @@ type StreamVerifier struct {
 	gyroDone, accelDone, magDone, fieldDone, captureDone, voiceDone bool
 
 	gesture  *trajectory.Gesture
-	results  map[Stage]*StageResult
+	results  [stageCount]*StageResult // indexed like cascade
 	decision *Decision
 	dead     bool
+}
+
+// cascade is the paper's stage table (Fig. 4), in cascade order:
+// decisions list stage results in this order no matter when each stage
+// actually ran. Each entry says whether a System configures the stage,
+// when the engine has every input the stage reads, and how it runs.
+var cascade = [stageCount]struct {
+	stage      Stage
+	configured func(s *System) bool
+	ready      func(v *StreamVerifier) bool
+	verify     func(v *StreamVerifier, sp *telemetry.Span) StageResult
+}{
+	{
+		StageDistance,
+		func(s *System) bool { return s.Distance != nil },
+		(*StreamVerifier).distanceReady,
+		func(v *StreamVerifier, sp *telemetry.Span) StageResult {
+			return v.sys.Distance.VerifySpan(sp, v.gesture)
+		},
+	},
+	{
+		StageSoundField,
+		func(s *System) bool { return s.Field != nil },
+		func(v *StreamVerifier) bool { return v.fieldDone },
+		func(v *StreamVerifier, sp *telemetry.Span) StageResult { return v.sys.Field.VerifySpan(sp, v.field) },
+	},
+	{
+		StageLoudspeaker,
+		func(s *System) bool { return s.Speaker != nil },
+		func(v *StreamVerifier) bool { return v.magDone },
+		func(v *StreamVerifier, sp *telemetry.Span) StageResult { return v.sys.Speaker.VerifySpan(sp, v.mag) },
+	},
+	{
+		StageSpeakerID,
+		func(s *System) bool { return s.Identity != nil },
+		func(v *StreamVerifier) bool { return v.helloDone && v.voiceDone },
+		func(v *StreamVerifier, sp *telemetry.Span) StageResult {
+			return v.sys.Identity.VerifySpan(sp, v.claimedUser, v.voice)
+		},
+	},
+}
+
+// stageCount is the number of stages in the cascade.
+const stageCount = 4
+
+// loudspeakerSlot is the loudspeaker stage's index in cascade, the one
+// stage with a prefix early exit.
+const loudspeakerSlot = 2
+
+// hasStages reports whether any cascade stage is configured.
+func (s *System) hasStages() bool {
+	for _, c := range cascade {
+		if c.configured(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // ErrStreamClosed is returned when chunks are offered to a verifier that
@@ -64,24 +124,39 @@ var ErrStreamClosed = errors.New("core: stream verifier is closed")
 // decision's Elapsed covers the whole stream — upload included — which
 // is what "time to decision" means on this path.
 func (s *System) NewStreamVerifier(traceID string) (*StreamVerifier, error) {
-	if s.Distance == nil && s.Field == nil && s.Speaker == nil && s.Identity == nil {
+	if !s.hasStages() {
 		return nil, ErrIncompleteSystem
 	}
 	if traceID == "" {
 		traceID = telemetry.NewTraceID()
 	}
+	v := s.newVerifier(traceID)
+	v.root.SetString("transport", "stream")
+	v.gyro = &sensors.Trace{Name: "gyro"}
+	v.accel = &sensors.Trace{Name: "accel"}
+	v.mag = &sensors.Trace{Name: "mag"}
+	return v, nil
+}
+
+// newVerifier starts an engine run: its root span and the clock its
+// decision's Elapsed reads.
+func (s *System) newVerifier(traceID string) *StreamVerifier {
 	root := s.Tracer.StartTrace(traceID, "verify")
-	root.SetString("transport", "stream")
-	return &StreamVerifier{
-		sys:     s,
-		traceID: traceID,
-		root:    root,
-		start:   time.Now(),
-		gyro:    &sensors.Trace{Name: "gyro"},
-		accel:   &sensors.Trace{Name: "accel"},
-		mag:     &sensors.Trace{Name: "mag"},
-		results: make(map[Stage]*StageResult),
-	}, nil
+	return &StreamVerifier{sys: s, traceID: traceID, root: root, start: time.Now()}
+}
+
+// load fills every channel at once from a complete, validated session,
+// reusing its fused gesture, so every configured stage becomes ready
+// together.
+func (v *StreamVerifier) load(session *SessionData) {
+	v.claimedUser = session.ClaimedUser
+	v.gesture = session.Gesture
+	v.mag = session.Gesture.Mag
+	v.field = session.Field
+	v.voice = session.Voice
+	v.helloDone, v.marksDone = true, true
+	v.gyroDone, v.accelDone, v.magDone = true, true, true
+	v.fieldDone, v.captureDone, v.voiceDone = true, true, true
 }
 
 // TraceID returns the session's trace ID.
@@ -93,8 +168,8 @@ func (v *StreamVerifier) Decided() *Decision { return v.decision }
 
 // admit gates every offer: a decided session swallows trailing chunks
 // (the connection drains without re-evaluating), a dead one refuses, and
-// a dead context abandons the session exactly like VerifyContext —
-// surfacing the deadline, never a fabricated rejection.
+// a dead context abandons the session — surfacing the deadline, never a
+// fabricated rejection.
 func (v *StreamVerifier) admit(ctx context.Context) (open bool, err error) {
 	if v.decision != nil {
 		return false, nil
@@ -103,8 +178,7 @@ func (v *StreamVerifier) admit(ctx context.Context) (open bool, err error) {
 		return false, ErrStreamClosed
 	}
 	if err := ctx.Err(); err != nil {
-		v.Abandon("deadline_exceeded")
-		return false, fmt.Errorf("core: stream verification abandoned after %v: %w", time.Since(v.start), err)
+		return false, v.expire(err)
 	}
 	return true, nil
 }
@@ -160,15 +234,15 @@ func (v *StreamVerifier) OfferMag(ctx context.Context, samples []sensors.Sample,
 	if err := appendSensor(v.mag, &v.magDone, samples, last); err != nil {
 		return nil, v.fail(err)
 	}
-	if !v.magDone && v.sys.Speaker != nil && v.results[StageLoudspeaker] == nil {
+	if !v.magDone && v.sys.Speaker != nil && v.results[loudspeakerSlot] == nil {
 		if m, ok := settledMetrics(v.mag); ok && (m.Swing >= v.sys.Speaker.Mt || m.MaxRate >= v.sys.Speaker.Bt) {
-			res := v.runStage(ctx, StageLoudspeaker, func(sp *telemetry.Span) StageResult {
+			prefix := stageRun{loudspeakerSlot, func(sp *telemetry.Span) StageResult {
 				sp.SetBool("settled_prefix", true)
 				sp.SetInt("prefix_samples", int64(v.mag.Len()))
 				return v.sys.Speaker.VerifyMetricsSpan(sp, m)
-			})
-			if !res.Pass {
-				return v.decide(), nil
+			}}
+			if d, err := v.run(ctx, []stageRun{prefix}); d != nil || err != nil {
+				return d, err
 			}
 		}
 	}
@@ -248,10 +322,9 @@ func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, don
 	return v.advance(ctx)
 }
 
-// Finish seals the session: every channel must be closed, the assembled
-// session must validate, and every configured stage must have run (the
-// stages admitted last run here). Accept requires all of them to pass —
-// identical to the HTTP cascade.
+// Finish seals the session: every channel must be closed and the
+// assembled session must validate — the same bar System.VerifyContext
+// sets — before the stages admitted last run and the verdict exists.
 func (v *StreamVerifier) Finish(ctx context.Context) (Decision, error) {
 	if v.decision != nil {
 		return *v.decision, nil
@@ -273,8 +346,6 @@ func (v *StreamVerifier) Finish(ctx context.Context) (Decision, error) {
 			return Decision{TraceID: v.traceID}, v.fail(fmt.Errorf("core: finish before %s channel closed", name))
 		}
 	}
-	// Validation parity with the HTTP path: the same session contents
-	// must clear the same bar before a verdict exists.
 	if err := v.buildGesture(); err != nil {
 		return Decision{TraceID: v.traceID}, v.fail(err)
 	}
@@ -287,14 +358,20 @@ func (v *StreamVerifier) Finish(ctx context.Context) (Decision, error) {
 	if err := session.Validate(); err != nil {
 		return Decision{TraceID: v.traceID}, v.fail(err)
 	}
+	return v.conclude(ctx)
+}
+
+// conclude runs every stage still waiting and decides. Every configured
+// stage must have run; ACCEPT requires all of them to pass.
+func (v *StreamVerifier) conclude(ctx context.Context) (Decision, error) {
 	if d, err := v.advance(ctx); err != nil {
 		return Decision{TraceID: v.traceID}, err
 	} else if d != nil {
 		return *d, nil
 	}
-	for _, st := range stageOrder {
-		if v.configured(st) && v.results[st] == nil {
-			return Decision{TraceID: v.traceID}, v.fail(fmt.Errorf("core: stage %s never became admissible", st.MetricName()))
+	for i, c := range cascade {
+		if c.configured(v.sys) && v.results[i] == nil {
+			return Decision{TraceID: v.traceID}, v.fail(fmt.Errorf("core: stage %s never became admissible", c.stage.MetricName()))
 		}
 	}
 	return *v.decide(), nil
@@ -302,8 +379,8 @@ func (v *StreamVerifier) Finish(ctx context.Context) (Decision, error) {
 
 // Abandon terminates an undecided session without a verdict (connection
 // loss, deadline, shutdown). The trace records the outcome so abandoned
-// streams are distinguishable in the flight recorder; like the HTTP
-// deadline path it never fabricates a rejection.
+// sessions are distinguishable in the flight recorder; it never
+// fabricates a rejection.
 func (v *StreamVerifier) Abandon(outcome string) {
 	if v.decision != nil || v.dead {
 		return
@@ -320,63 +397,37 @@ func (v *StreamVerifier) fail(err error) error {
 	return err
 }
 
-// stageOrder is the paper's cascade order (Fig. 4): decisions are
-// assembled in this order no matter when each stage actually ran.
-var stageOrder = [...]Stage{StageDistance, StageSoundField, StageLoudspeaker, StageSpeakerID}
-
-func (v *StreamVerifier) configured(st Stage) bool {
-	switch st {
-	case StageDistance:
-		return v.sys.Distance != nil
-	case StageSoundField:
-		return v.sys.Field != nil
-	case StageLoudspeaker:
-		return v.sys.Speaker != nil
-	case StageSpeakerID:
-		return v.sys.Identity != nil
-	default:
-		return false
-	}
+// expire abandons the session at its deadline and returns the error
+// wrapping cause (test it with errors.Is).
+func (v *StreamVerifier) expire(cause error) error {
+	elapsed := time.Since(v.start)
+	v.Abandon("deadline_exceeded")
+	return fmt.Errorf("core: verification abandoned after %v: %w", elapsed, cause)
 }
 
-// advance runs every stage whose inputs just became complete, in the
-// paper's order, stopping at the first failure. A non-nil decision is a
-// REJECT (early relative to the frames still in flight).
+func (v *StreamVerifier) distanceReady() bool {
+	return v.helloDone && v.marksDone && v.gyroDone && v.accelDone && v.magDone && v.captureDone
+}
+
+// advance runs every configured stage whose inputs just became complete.
+// A non-nil decision is a REJECT (early relative to the frames still in
+// flight).
 func (v *StreamVerifier) advance(ctx context.Context) (*Decision, error) {
-	type admission struct {
-		st    Stage
-		ready bool
-		run   func(sp *telemetry.Span) StageResult
-	}
-	distReady := v.helloDone && v.marksDone && v.gyroDone && v.accelDone && v.magDone && v.captureDone
-	if v.sys.Distance != nil && v.results[StageDistance] == nil && distReady {
+	if v.sys.Distance != nil && v.results[0] == nil && v.distanceReady() {
 		if err := v.buildGesture(); err != nil {
 			return nil, v.fail(err)
 		}
 	}
-	plan := []admission{
-		{StageDistance, distReady, func(sp *telemetry.Span) StageResult {
-			return v.sys.Distance.VerifySpan(sp, v.gesture)
-		}},
-		{StageSoundField, v.fieldDone, func(sp *telemetry.Span) StageResult {
-			return v.sys.Field.VerifySpan(sp, v.field)
-		}},
-		{StageLoudspeaker, v.magDone, func(sp *telemetry.Span) StageResult {
-			return v.sys.Speaker.VerifySpan(sp, v.mag)
-		}},
-		{StageSpeakerID, v.helloDone && v.voiceDone, func(sp *telemetry.Span) StageResult {
-			return v.sys.Identity.VerifySpan(sp, v.claimedUser, v.voice)
-		}},
-	}
-	for _, a := range plan {
-		if !a.ready || !v.configured(a.st) || v.results[a.st] != nil {
-			continue
-		}
-		if res := v.runStage(ctx, a.st, a.run); !res.Pass {
-			return v.decide(), nil
+	var runs []stageRun
+	for i, c := range cascade {
+		if c.configured(v.sys) && v.results[i] == nil && c.ready(v) {
+			runs = append(runs, stageRun{i, func(sp *telemetry.Span) StageResult { return c.verify(v, sp) }})
 		}
 	}
-	return nil, nil
+	if len(runs) == 0 {
+		return nil, nil
+	}
+	return v.run(ctx, runs)
 }
 
 // buildGesture fuses the sensor and capture channels into the gesture
@@ -393,33 +444,81 @@ func (v *StreamVerifier) buildGesture() error {
 	return nil
 }
 
-// runStage mirrors VerifyContext's per-stage harness: fault-injection
-// hook at admission, an evidence-carrying "stage:<name>" span, and the
-// result stamped with its own Elapsed by the stage implementation.
-func (v *StreamVerifier) runStage(ctx context.Context, st Stage, verify func(sp *telemetry.Span) StageResult) StageResult {
+// stageRun is one admitted stage: its cascade slot and the verification
+// to run over the inputs the engine holds.
+type stageRun struct {
+	slot   int
+	verify func(sp *telemetry.Span) StageResult
+}
+
+// run executes admitted stages through parallel.DoContext — several at
+// once when they became ready together — and records their results. A
+// non-nil decision is a REJECT.
+//
+// The context bounds the run: it is checked again as each stage starts
+// (a stage not yet begun when the deadline passes never touches the
+// session), and the fan-out stops waiting the moment ctx dies. A stage
+// still running then detaches; it writes only to its own local slot,
+// which is never read. Either way the session is abandoned with an
+// error wrapping ctx.Err(), so a timeout never surfaces as a biometric
+// REJECT.
+func (v *StreamVerifier) run(ctx context.Context, runs []stageRun) (*Decision, error) {
+	results := make([]StageResult, len(runs))
+	ran := make([]bool, len(runs))
+	tasks := make([]func(), len(runs))
+	for k, r := range runs {
+		tasks[k] = func() { results[k], ran[k] = v.runStage(ctx, cascade[r.slot].stage, r.verify) }
+	}
+	if err := parallel.DoContext(ctx, tasks...); err != nil {
+		return nil, v.expire(err)
+	}
+	for _, ok := range ran {
+		if !ok {
+			return nil, v.expire(ctx.Err())
+		}
+	}
+	rejected := false
+	for k, r := range runs {
+		v.results[r.slot] = &results[k]
+		rejected = rejected || !results[k].Pass
+	}
+	if rejected {
+		return v.decide(), nil
+	}
+	return nil, nil
+}
+
+// runStage is the per-stage harness: the admission deadline check
+// (ran=false when ctx is already dead), the fault-injection hook, and
+// an evidence-carrying "stage:<name>" span around the verification,
+// which stamps its own Elapsed (TimeStage).
+func (v *StreamVerifier) runStage(ctx context.Context, st Stage, verify func(sp *telemetry.Span) StageResult) (res StageResult, ran bool) {
+	if ctx.Err() != nil {
+		return res, false
+	}
 	if v.sys.StageHook != nil {
 		v.sys.StageHook(ctx, st)
 	}
 	sp := v.root.StartSpan(telemetry.StageSpanName + st.MetricName())
-	res := verify(sp)
-	endStageSpan(sp, res)
-	v.results[st] = &res
-	return res
+	res = verify(sp)
+	sp.SetBool("pass", res.Pass)
+	sp.SetFloat("score", res.Score, "")
+	sp.SetString("detail", res.Detail)
+	sp.End()
+	return res, true
 }
 
-// decide assembles the verdict from the stages that ran, in the paper's
-// order, truncated at the first failure — the same shape
-// VerifyContext produces — and finishes the trace.
+// decide assembles the verdict from the stages that ran, in cascade
+// order, truncated at the first failure, and finishes the trace.
 func (v *StreamVerifier) decide() *Decision {
 	d := &Decision{TraceID: v.traceID, Accepted: true}
-	for _, st := range stageOrder {
-		r := v.results[st]
+	for _, r := range v.results {
 		if r == nil {
 			continue
 		}
 		d.Stages = append(d.Stages, *r)
 		if !r.Pass {
-			d.FailedStage = st
+			d.FailedStage = r.Stage
 			d.Accepted = false
 			break
 		}

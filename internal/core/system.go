@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"voiceguard/internal/parallel"
 	"voiceguard/internal/sensors"
 	"voiceguard/internal/telemetry"
 )
@@ -89,38 +87,30 @@ func (s *System) CalibrateEnvironment(ambient *sensors.Trace) {
 var ErrIncompleteSystem = errors.New("core: system has no configured stages")
 
 // Verify runs the cascade over a session with a freshly generated trace
-// ID. Stages execute in the paper's order and the first failure rejects;
-// all executed stage results are returned for diagnostics.
+// ID and no deadline. Stages execute in the paper's order and the first
+// failure rejects; all executed stage results are returned for
+// diagnostics.
 func (s *System) Verify(session *SessionData) (Decision, error) {
-	return s.VerifyTraced(telemetry.NewTraceID(), session)
+	//lint:allow ctxfirst no-deadline convenience entry point; deadline-aware callers use VerifyContext
+	return s.VerifyContext(context.Background(), "", session)
 }
 
-// VerifyTraced runs the cascade under a caller-supplied trace ID (the
-// server passes the request's X-Request-ID so decision, response and log
-// line all correlate). It is the no-deadline compatibility form of
-// VerifyContext: the background context can never cancel, so the call
-// behaves exactly like the pre-context cascade at the cost of one nil
-// channel test.
-func (s *System) VerifyTraced(traceID string, session *SessionData) (Decision, error) {
-	//lint:allow ctxfirst seed-compatible entry point; deadline-aware callers use VerifyContext
-	return s.VerifyContext(context.Background(), traceID, session)
-}
-
-// VerifyContext runs the cascade under a request context and a
-// caller-supplied trace ID. Each executed stage is individually timed and
-// the decision carries the total pipeline latency — the per-stage
-// breakdown behind the paper's §V end-to-end response-time result.
+// VerifyContext runs the cascade over a complete session under a request
+// context and a caller-supplied trace ID (empty mints one; the server
+// passes the request's X-Request-ID so decision, response and log line
+// all correlate). It validates the session, loads every channel into the
+// cascade engine (StreamVerifier) at once, and returns the engine's
+// decision: the configured stages become ready together and run
+// concurrently, each individually timed, and the decision lists them in
+// the paper's order truncated at the first failure, carrying the total
+// pipeline latency.
 //
 // The context bounds the verification: it is checked on entry, again at
-// the start of every stage (a speculative stage that has not begun work
-// when the deadline passes is abandoned before touching the session),
-// and the parallel fan-out itself stops waiting the moment ctx dies.
-// On cancellation the returned error wraps ctx.Err() — test it with
-// errors.Is(err, context.DeadlineExceeded) — and the Decision carries
-// only the trace ID: stages still running have detached and their
-// results are unreadable by construction. The root span records an
-// "outcome" = "deadline_exceeded" attribute so abandoned attempts are
-// distinguishable in the flight recorder.
+// the start of every stage, and the fan-out stops waiting the moment ctx
+// dies. On cancellation the returned error wraps ctx.Err() — test it
+// with errors.Is(err, context.DeadlineExceeded) — and the Decision
+// carries only the trace ID and the elapsed time; the root span records
+// "outcome" = "deadline_exceeded". A nil context never cancels.
 func (s *System) VerifyContext(ctx context.Context, traceID string, session *SessionData) (Decision, error) {
 	if ctx == nil {
 		//lint:allow ctxfirst a nil context means "no deadline", the documented compatibility behavior
@@ -135,122 +125,17 @@ func (s *System) VerifyContext(ctx context.Context, traceID string, session *Ses
 	if err := session.Validate(); err != nil {
 		return Decision{TraceID: traceID}, err
 	}
-	if s.Distance == nil && s.Field == nil && s.Speaker == nil && s.Identity == nil {
+	if !s.hasStages() {
 		return Decision{TraceID: traceID}, ErrIncompleteSystem
 	}
 	if err := ctx.Err(); err != nil {
 		return Decision{TraceID: traceID}, fmt.Errorf("core: verification admitted past its deadline: %w", err)
 	}
-	d := Decision{TraceID: traceID}
-	start := time.Now()
-	root := s.Tracer.StartTrace(traceID, "verify")
-	// The configured stages are independent, read-only checks over
-	// distinct session channels (Validate guarantees every channel is
-	// present), so they run speculatively in parallel: the cheap sensor
-	// checks overlap the expensive ASV scoring instead of serializing in
-	// front of it. Each stage stamps its own Elapsed via TimeStage
-	// (enforced by the stageinstrument analyzer) and, when tracing, runs
-	// under its own "stage:<name>" span carrying its decision evidence.
-	// The decision is then assembled in the paper's stage order and
-	// truncated at the first failure, so its contents are
-	// indistinguishable from the serial cascade — a later stage's
-	// speculative result is simply discarded when an earlier stage
-	// rejects.
-	var abandoned atomic.Bool
-	runStage := func(st Stage, verify func(sp *telemetry.Span) StageResult) StageResult {
-		// The per-stage deadline check: a stage whose context is already
-		// dead is abandoned before it does any work. With the speculative
-		// fan-out this is the "between stages" check of a serial cascade —
-		// it runs at every stage's admission point.
-		if err := ctx.Err(); err != nil {
-			abandoned.Store(true)
-			return StageResult{Stage: st, Detail: "abandoned: " + err.Error()}
-		}
-		if s.StageHook != nil {
-			s.StageHook(ctx, st)
-		}
-		sp := root.StartSpan(telemetry.StageSpanName + st.MetricName())
-		res := verify(sp)
-		endStageSpan(sp, res)
-		return res
+	v := s.newVerifier(traceID)
+	v.load(session)
+	d, err := v.conclude(ctx)
+	if err != nil {
+		return Decision{TraceID: traceID, Elapsed: time.Since(v.start)}, err
 	}
-	var verifies []func() StageResult
-	if s.Distance != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageDistance, func(sp *telemetry.Span) StageResult {
-				return s.Distance.VerifySpan(sp, session.Gesture)
-			})
-		})
-	}
-	if s.Field != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageSoundField, func(sp *telemetry.Span) StageResult {
-				return s.Field.VerifySpan(sp, session.Field)
-			})
-		})
-	}
-	if s.Speaker != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageLoudspeaker, func(sp *telemetry.Span) StageResult {
-				return s.Speaker.VerifySpan(sp, session.Gesture.Mag)
-			})
-		})
-	}
-	if s.Identity != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageSpeakerID, func(sp *telemetry.Span) StageResult {
-				return s.Identity.VerifySpan(sp, session.ClaimedUser, session.Voice)
-			})
-		})
-	}
-	results := make([]StageResult, len(verifies))
-	tasks := make([]func(), len(verifies))
-	for i, verify := range verifies {
-		tasks[i] = func() { results[i] = verify() }
-	}
-	expired := func(cause error) (Decision, error) {
-		d.Elapsed = time.Since(start)
-		root.SetString("outcome", "deadline_exceeded")
-		s.Tracer.Finish(root, telemetry.Verdict{Accepted: false, Elapsed: d.Elapsed})
-		return d, fmt.Errorf("core: verification abandoned after %v: %w", d.Elapsed, cause)
-	}
-	if err := parallel.DoContext(ctx, tasks...); err != nil {
-		// The fan-out was abandoned mid-flight: unfinished stages keep
-		// running detached and own their result slots, so the decision
-		// carries only the trace ID and the elapsed time — reading the
-		// results here would race with the detached writers.
-		return expired(err)
-	}
-	if abandoned.Load() {
-		// Every task finished (the results are safe to read), but the
-		// context died during the fan-out and at least one stage was
-		// abandoned at its admission check. Its zero verdict is a timeout
-		// artifact, not evidence — surface the deadline, never a
-		// fabricated biometric rejection.
-		return expired(ctx.Err())
-	}
-	d.Accepted = true
-	for _, r := range results {
-		d.Stages = append(d.Stages, r)
-		if !r.Pass {
-			d.FailedStage = r.Stage
-			d.Accepted = false
-			break
-		}
-	}
-	d.Elapsed = time.Since(start)
-	verdict := telemetry.Verdict{Accepted: d.Accepted, Elapsed: d.Elapsed}
-	if !d.Accepted {
-		verdict.FailedStage = d.FailedStage.MetricName()
-	}
-	s.Tracer.Finish(root, verdict)
 	return d, nil
-}
-
-// endStageSpan stamps a stage's outcome onto its span and ends it.
-func endStageSpan(sp *telemetry.Span, res StageResult) {
-	sp.SetBool("pass", res.Pass)
-	sp.SetFloat("score", res.Score, "")
-	sp.SetString("detail", res.Detail)
-	sp.End()
 }

@@ -4,6 +4,7 @@ package core
 // total pipeline latency and a per-stage Elapsed breakdown.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestVerifyTracedUsesCallerID(t *testing.T) {
 	victim := speech.RandomProfile("victim", rand.New(rand.NewSource(8)))
 	session := genuineSessionFor(t, victim, "135792", 8)
 
-	d, err := sys.VerifyTraced("req-abc123", session)
+	d, err := sys.VerifyContext(context.Background(), "req-abc123", session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestVerifyTracedUsesCallerID(t *testing.T) {
 		t.Errorf("TraceID = %q, want caller-supplied req-abc123", d.TraceID)
 	}
 	// An empty caller ID is replaced, never propagated.
-	d2, err := sys.VerifyTraced("", session)
+	d2, err := sys.VerifyContext(context.Background(), "", session)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestDoContextEmpty(t *testing.T) {
 
 // BenchmarkDoContextBackground pins the uncancellable fast path against
 // plain Do: an uncancellable context must add no goroutines, channels or
-// allocations beyond Do itself, so the seed-compatible VerifyTraced path
+// allocations beyond Do itself, so the no-deadline Verify path
 // stays benchmark-neutral.
 func BenchmarkDoContextBackground(b *testing.B) {
 	ctx := context.Background()

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
@@ -398,12 +399,27 @@ func DecisionToResponse(d core.Decision) *VerifyResponse {
 		resp.Stages = append(resp.Stages, StageJSON{
 			Stage:     st.Stage.String(),
 			Pass:      st.Pass,
-			Score:     st.Score,
+			Score:     wireScore(st.Score),
 			Detail:    st.Detail,
 			ElapsedUS: st.Elapsed.Microseconds(),
 		})
 	}
 	return resp
+}
+
+// wireScore clamps a stage score to a value JSON can carry. JSON has no
+// NaN or infinity, and a response that fails to encode reaches the
+// client as an empty body, so infinities travel as the largest finite
+// value of their sign and NaN — evidence no threshold can judge — as
+// the least genuine one. Finite scores pass through bit for bit.
+func wireScore(s float64) float64 {
+	switch {
+	case math.IsInf(s, 1):
+		return math.MaxFloat64
+	case math.IsNaN(s) || math.IsInf(s, -1):
+		return -math.MaxFloat64
+	}
+	return s
 }
 
 func encodeB64(raw []byte) []byte {

@@ -2,11 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
 
 	"voiceguard/internal/attack"
+	"voiceguard/internal/core"
 	"voiceguard/internal/ranging"
 	"voiceguard/internal/speech"
 )
@@ -184,5 +186,32 @@ func TestDecisionToResponse(t *testing.T) {
 	}
 	if len(resp.Stages) != len(d.Stages) {
 		t.Error("stage count mismatch")
+	}
+}
+
+// TestDecisionToResponseEncodesNonFiniteScores pins that a decision
+// whose stage scores are non-finite still reaches the client: JSON has
+// no NaN or infinity, so the response clamps them, and finite scores
+// keep their bits.
+func TestDecisionToResponseEncodesNonFiniteScores(t *testing.T) {
+	d := core.Decision{FailedStage: core.StageLoudspeaker, Stages: []core.StageResult{
+		{Stage: core.StageDistance, Pass: true, Score: 0.0125},
+		{Stage: core.StageSoundField, Pass: true, Score: math.Inf(1)},
+		{Stage: core.StageLoudspeaker, Score: math.NaN()},
+		{Stage: core.StageSpeakerID, Score: math.Inf(-1)},
+	}}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(DecisionToResponse(d)); err != nil {
+		t.Fatalf("encoding a non-finite decision: %v", err)
+	}
+	var got VerifyResponse
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0.0125, math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64}
+	for i, st := range got.Stages {
+		if math.Float64bits(st.Score) != math.Float64bits(want[i]) {
+			t.Errorf("stage %s score = %v, want %v", st.Stage, st.Score, want[i])
+		}
 	}
 }

@@ -626,36 +626,21 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-
 	fail := func(status int, msg string) {
-		s.errored.Inc()
-		// Error outcomes report their real latency: a zero here would
-		// mislabel where time went the moment any window consumer starts
-		// attributing error time (the counter windows already key off it).
-		s.observeOutcome(telemetry.OutcomeError, time.Since(start))
-		s.logger.Warn("verify failed", "trace_id", traceID, "status", status, "err", msg)
+		s.verifyError("http", traceID, status, msg, time.Since(start))
 		s.writeJSONError(w, traceID, status, msg)
 	}
 
 	// Admission control runs before the expensive body decode: a shed
 	// request costs the server nothing but this reply, which is the whole
 	// point of shedding.
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Inc()
-			s.observeOutcome(telemetry.OutcomeShed, 0)
-			s.logger.Warn("verify shed", "trace_id", traceID, "max_inflight", s.maxInflight)
-			w.Header().Set("Retry-After", "1")
-			s.writeJSONError(w, traceID, http.StatusTooManyRequests,
-				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
-			return
-		}
+	release, refusal := s.admitVerify("http", traceID)
+	if release == nil {
+		w.Header().Set("Retry-After", "1")
+		s.writeJSONError(w, traceID, http.StatusTooManyRequests, refusal)
+		return
 	}
-	s.verifyInflight.Add(1)
-	defer s.verifyInflight.Add(-1)
+	defer release()
 
 	capBody(w, r)
 	req, err := protocol.DecodeRequest(r.Body)
@@ -684,29 +669,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	decision, err := s.system.VerifyContext(ctx, traceID, session)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// An honest timeout, not a verdict: 503 with the trace ID so
-			// the client can retry and the operator can pull the abandoned
-			// trace from the flight recorder.
-			s.deadlined.Inc()
-			s.observeOutcome(telemetry.OutcomeDeadlineExceeded, time.Since(start))
-			s.logger.Warn("verify deadline exceeded", "trace_id", traceID,
-				"timeout", s.verifyTimeout, "err", err)
-			s.writeJSONError(w, traceID, http.StatusServiceUnavailable,
-				fmt.Sprintf("verification abandoned: %v", err))
-			return
-		}
-		fail(http.StatusUnprocessableEntity, fmt.Sprintf("verifying: %v", err))
+		status, msg := s.engineError("http", traceID, err,
+			http.StatusUnprocessableEntity, fmt.Sprintf("verifying: %v", err), time.Since(start))
+		s.writeJSONError(w, traceID, status, msg)
 		return
 	}
-	if decision.Accepted {
-		s.accepted.Inc()
-		s.observeOutcome(telemetry.OutcomeAccepted, decision.Elapsed)
-	} else {
-		s.rejected.Inc()
-		s.observeOutcome(telemetry.OutcomeRejected, decision.Elapsed)
-	}
-	s.observeDecision(&decision)
+	s.verifyDecided(&decision, decision.Elapsed)
 	if s.evidenceEnabled() {
 		s.retainEvidence(traceID, req, decision)
 	}
@@ -719,9 +687,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		"elapsed", time.Since(start),
 	)
 	for _, st := range decision.Stages {
-		if h, ok := s.stageHist[st.Stage]; ok {
-			h.ObserveDurationExemplar(st.Elapsed, decision.TraceID)
-		}
 		stageAttrs = append(stageAttrs, "stage_"+st.Stage.MetricName(), st.Elapsed)
 	}
 	s.logger.Info("verify", stageAttrs...)
@@ -729,6 +694,76 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(protocol.DecisionToResponse(decision)); err != nil {
 		s.logger.Error("encoding response", "err", err, "trace_id", traceID)
+	}
+}
+
+// admitVerify is the admission control both transports run before any
+// session state exists. An admitted verification holds a slot until it
+// calls release. A shed one gets a nil release and is counted; the
+// caller answers refusal with 429 + Retry-After in its own framing.
+func (s *Server) admitVerify(transport, traceID string) (release func(), refusal string) {
+	if s.sem != nil {
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			s.shed.Inc()
+			s.observeOutcome(telemetry.OutcomeShed, 0)
+			s.logger.Warn("verify shed", "transport", transport, "trace_id", traceID, "max_inflight", s.maxInflight)
+			return nil, fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight)
+		}
+	}
+	s.verifyInflight.Add(1)
+	return func() {
+		s.verifyInflight.Add(-1)
+		if s.sem != nil {
+			<-s.sem
+		}
+	}, ""
+}
+
+// verifyError accounts an admitted verification that ended without a
+// verdict (malformed upload, invalid session). Error outcomes report
+// their real latency: a zero would mislabel where time went for any
+// window consumer attributing error time.
+func (s *Server) verifyError(transport, traceID string, status int, msg string, latency time.Duration) {
+	s.errored.Inc()
+	s.observeOutcome(telemetry.OutcomeError, latency)
+	s.logger.Warn("verify failed", "transport", transport, "trace_id", traceID, "status", status, "err", msg)
+}
+
+// engineError accounts a cascade-engine error and returns the status and
+// message to answer with. A dead context is an honest timeout, not a
+// verdict: 503 with the trace ID so the client can retry and the
+// operator can pull the abandoned trace from the flight recorder. Any
+// other engine error is an error answered with status and msg.
+func (s *Server) engineError(transport, traceID string, err error, status int, msg string, latency time.Duration) (int, string) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.deadlined.Inc()
+		s.observeOutcome(telemetry.OutcomeDeadlineExceeded, latency)
+		s.logger.Warn("verify deadline exceeded", "transport", transport, "trace_id", traceID,
+			"timeout", s.verifyTimeout, "err", err)
+		return http.StatusServiceUnavailable, fmt.Sprintf("verification abandoned: %v", err)
+	}
+	s.verifyError(transport, traceID, status, msg, latency)
+	return status, msg
+}
+
+// verifyDecided accounts a verdict on either transport: the outcome
+// counter and window at latency, the evidence windows, and the
+// per-stage latency histograms.
+func (s *Server) verifyDecided(d *core.Decision, latency time.Duration) {
+	if d.Accepted {
+		s.accepted.Inc()
+		s.observeOutcome(telemetry.OutcomeAccepted, latency)
+	} else {
+		s.rejected.Inc()
+		s.observeOutcome(telemetry.OutcomeRejected, latency)
+	}
+	s.observeDecision(d)
+	for _, st := range d.Stages {
+		if h, ok := s.stageHist[st.Stage]; ok {
+			h.ObserveDurationExemplar(st.Elapsed, d.TraceID)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -208,10 +207,10 @@ func (s *Server) sendStreamError(conn net.Conn, traceID string, status, retryAft
 
 // handleStreamConn speaks one streaming verification session: handshake,
 // admission, incremental evaluation frame by frame, one decision or
-// error frame back. Outcome accounting mirrors handleVerify — every
-// session that completes the handshake lands in exactly one of
-// accepted/rejected/errored/deadlined/shed, so the Stats invariant holds
-// across both transports.
+// error frame back. Admission and outcome accounting are the helpers
+// handleVerify uses — every session that completes the handshake lands
+// in exactly one of accepted/rejected/errored/deadlined/shed, so the
+// Stats invariant holds across both transports.
 func (s *Server) handleStreamConn(conn net.Conn) {
 	if err := conn.SetDeadline(time.Now().Add(s.streamFrameTimeout)); err != nil {
 		return
@@ -239,26 +238,25 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	}
 
 	// Admission control before any session state exists, as on HTTP.
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Inc()
-			s.observeOutcome(telemetry.OutcomeShed, 0)
-			s.logger.Warn("stream verify shed", "max_inflight", s.maxInflight)
-			s.sendStreamError(conn, "", http.StatusTooManyRequests, 1,
-				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
-			return
-		}
+	release, refusal := s.admitVerify("stream", "")
+	if release == nil {
+		s.sendStreamError(conn, "", http.StatusTooManyRequests, 1, refusal)
+		return
 	}
-	s.verifyInflight.Add(1)
-	defer s.verifyInflight.Add(-1)
+	defer release()
 
-	fail := func(traceID string, status int, msg string) {
-		s.errored.Inc()
-		s.observeOutcome(telemetry.OutcomeError, time.Since(start))
-		s.logger.Warn("stream verify failed", "trace_id", traceID, "status", status, "err", msg)
+	var verifier *core.StreamVerifier
+	var traceID string
+	fail := func(status int, msg string) {
+		if verifier != nil {
+			verifier.Abandon("error")
+		}
+		s.verifyError("stream", traceID, status, msg, time.Since(start))
+		s.sendStreamError(conn, traceID, status, 0, msg)
+	}
+	engineFail := func(err error) {
+		verifier.Abandon("error") // no-op when the engine already abandoned the session
+		status, msg := s.engineError("stream", traceID, err, http.StatusBadRequest, err.Error(), time.Since(start))
 		s.sendStreamError(conn, traceID, status, 0, msg)
 	}
 
@@ -266,28 +264,29 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	// evidence arrives.
 	first, err := s.readStreamFrame(conn)
 	if err != nil {
-		fail("", http.StatusBadRequest, fmt.Sprintf("reading hello frame: %v", err))
+		fail(http.StatusBadRequest, fmt.Sprintf("reading hello frame: %v", err))
 		return
 	}
 	if first.Type != stream.TypeHello {
-		fail("", http.StatusBadRequest, fmt.Sprintf("first frame is %v, want hello", first.Type))
+		fail(http.StatusBadRequest, fmt.Sprintf("first frame is %v, want hello", first.Type))
 		return
 	}
 	hello, err := stream.DecodeHello(first.Payload)
 	if err != nil {
-		fail("", http.StatusBadRequest, fmt.Sprintf("decoding hello: %v", err))
+		fail(http.StatusBadRequest, fmt.Sprintf("decoding hello: %v", err))
 		return
 	}
-	verifier, err := s.system.NewStreamVerifier(hello.TraceID)
+	traceID = hello.TraceID
+	verifier, err = s.system.NewStreamVerifier(hello.TraceID)
 	if err != nil {
-		fail(hello.TraceID, http.StatusInternalServerError, fmt.Sprintf("opening stream verification: %v", err))
+		fail(http.StatusInternalServerError, fmt.Sprintf("opening stream verification: %v", err))
 		return
 	}
-	traceID := verifier.TraceID()
+	traceID = verifier.TraceID()
 	digest := stream.NewSessionDigest()
 	digest.Add(first)
 	if _, err := protocol.ApplyStreamFrame(ctx, verifier, first); err != nil {
-		s.streamSessionError(conn, verifier, traceID, start, err)
+		engineFail(err)
 		return
 	}
 
@@ -295,29 +294,25 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	for {
 		f, err := s.readStreamFrame(conn)
 		if err != nil {
-			verifier.Abandon("error")
-			fail(traceID, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
+			fail(http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
 			return
 		}
 		if f.Type == stream.TypeFinish {
 			fin, err := stream.DecodeFinish(f.Payload)
 			if err != nil {
-				verifier.Abandon("error")
-				fail(traceID, http.StatusBadRequest, fmt.Sprintf("decoding finish: %v", err))
+				fail(http.StatusBadRequest, fmt.Sprintf("decoding finish: %v", err))
 				return
 			}
 			// Raw-byte digest comparison: the client's sum must reproduce
 			// over the frames actually received, or the session was
 			// corrupted/reordered in transit.
 			if fin.Digest != digest.Sum() || fin.Frames != frames {
-				verifier.Abandon("error")
-				fail(traceID, http.StatusBadRequest, fmt.Sprintf(
-					"session digest mismatch over %d frames", frames))
+				fail(http.StatusBadRequest, fmt.Sprintf("session digest mismatch over %d frames", frames))
 				return
 			}
 			decision, err := verifier.Finish(ctx)
 			if err != nil {
-				s.streamSessionError(conn, verifier, traceID, start, err)
+				engineFail(err)
 				return
 			}
 			s.respondStream(conn, &decision, false, start)
@@ -327,7 +322,7 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 		frames++
 		decision, err := protocol.ApplyStreamFrame(ctx, verifier, f)
 		if err != nil {
-			s.streamSessionError(conn, verifier, traceID, start, err)
+			engineFail(err)
 			return
 		}
 		if decision != nil {
@@ -338,48 +333,15 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	}
 }
 
-// streamSessionError maps an evaluator error onto the stream the way
-// handleVerify maps one onto HTTP: deadline/cancellation becomes an
-// honest 503 (deadline_exceeded outcome, never a fabricated rejection),
-// anything else a 400-class error.
-func (s *Server) streamSessionError(conn net.Conn, v *core.StreamVerifier, traceID string, start time.Time, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.deadlined.Inc()
-		s.observeOutcome(telemetry.OutcomeDeadlineExceeded, time.Since(start))
-		s.logger.Warn("stream verify deadline exceeded", "trace_id", traceID,
-			"timeout", s.verifyTimeout, "err", err)
-		s.sendStreamError(conn, traceID, http.StatusServiceUnavailable, 0,
-			fmt.Sprintf("verification abandoned: %v", err))
-		return
-	}
-	v.Abandon("error")
-	s.errored.Inc()
-	s.observeOutcome(telemetry.OutcomeError, time.Since(start))
-	s.logger.Warn("stream verify failed", "trace_id", traceID, "err", err)
-	s.sendStreamError(conn, traceID, http.StatusBadRequest, 0, err.Error())
-}
-
 // respondStream accounts a decision and answers with a decision frame
 // (FlagEarly when the verdict beat the client's finish frame).
 func (s *Server) respondStream(conn net.Conn, decision *core.Decision, early bool, start time.Time) {
 	ttd := time.Since(start)
-	if decision.Accepted {
-		s.accepted.Inc()
-		s.observeOutcome(telemetry.OutcomeAccepted, ttd)
-	} else {
-		s.rejected.Inc()
-		s.observeOutcome(telemetry.OutcomeRejected, ttd)
-	}
-	s.observeDecision(decision)
+	s.verifyDecided(decision, ttd)
 	s.streamTTD.ObserveDurationExemplar(ttd, decision.TraceID)
 	if early && !decision.Accepted {
 		if c, ok := s.streamEarlyExit[decision.FailedStage]; ok {
 			c.Inc()
-		}
-	}
-	for _, st := range decision.Stages {
-		if h, ok := s.stageHist[st.Stage]; ok {
-			h.ObserveDurationExemplar(st.Elapsed, decision.TraceID)
 		}
 	}
 	s.logger.Info("stream verify",

@@ -161,3 +161,45 @@ func TestStreamAndHTTPAgreeOnReplayAttack(t *testing.T) {
 		t.Error("early-exit counter still zero after an early rejection")
 	}
 }
+
+// nonFiniteMagAttack plants a loudspeaker-grade magnetic ramp in the
+// second half of a genuine session's magnetometer trace, then sets the
+// X axis of every other sample to bad.
+func nonFiniteMagAttack(t *testing.T, seed int64, bad float64) *core.SessionData {
+	t.Helper()
+	session := genuineSession(t, seed)
+	mag := session.Gesture.Mag
+	n := mag.Len()
+	for i := n / 2; i < n; i++ {
+		mag.Samples[i].V.X, mag.Samples[i].V.Y, mag.Samples[i].V.Z = 40+float64(i-n/2)*2, 5, -30
+	}
+	for i := 1; i < n; i += 2 {
+		mag.Samples[i].V.X = bad
+	}
+	return session
+}
+
+// TestNonFiniteMagnetometerAttackRejectedOnBothTransports is the wire
+// regression for fail-closed stages. VGSP carries raw float64 bits, so
+// the stream sends NaN itself; JSON has no NaN literal, so the HTTP
+// upload carries the largest finite value, whose swing overflows to the
+// same non-finite evidence server-side.
+func TestNonFiniteMagnetometerAttackRejectedOnBothTransports(t *testing.T) {
+	_, httpURL, streamAddr := dualProtocolServer(t)
+	c := client.New(httpURL)
+
+	httpRes, err := c.VerifyContext(context.Background(), nonFiniteMagAttack(t, 63, math.MaxFloat64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if httpRes.Response.Accepted {
+		t.Fatalf("HTTP accepted the non-finite magnetometer attack: %+v", httpRes.Response.Stages)
+	}
+	streamRes, err := c.VerifyStream(context.Background(), streamAddr, nonFiniteMagAttack(t, 63, math.NaN()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamRes.Response.Accepted {
+		t.Fatalf("stream accepted the NaN magnetometer attack: %+v", streamRes.Response.Stages)
+	}
+}

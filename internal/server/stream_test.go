@@ -156,6 +156,14 @@ func TestStreamGenuineSessionAccepted(t *testing.T) {
 	if st.Accepted != 1 || st.Requests != 1 {
 		t.Errorf("stats = %+v, want one accepted request", st)
 	}
+	// The handler counts the reply frame only after its write returns,
+	// which can be after the client already read it. Shutdown waits for
+	// the handler to finish, so the counters are settled once it returns.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if srv.streamFramesIn.Value() == 0 || srv.streamFramesOut.Value() == 0 {
 		t.Error("frame counters not fed")
 	}
