@@ -3,6 +3,7 @@ package evidence
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -326,6 +327,37 @@ func TestVerifyRejectsBadRedaction(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("unknown redaction mode not reported")
+	}
+}
+
+// TestVerifyRefusesOlderSchema pins that a pack written under an older
+// schema — version 1 embedded double-base64 audio — is refused with the
+// schema message, before replay could misread its session requests.
+func TestVerifyRefusesOlderSchema(t *testing.T) {
+	clean, err := ReadBytes(buildTestPack(t, testDecision("t-1", true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[string][]byte{}
+	for name, data := range clean.Raw {
+		if name != ManifestMember {
+			members[name] = data
+		}
+	}
+	old := clean.Manifest
+	old.SchemaVersion = 1
+	var buf bytes.Buffer
+	if err := WriteZipMembers(&buf, old, members); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := Verify(p)
+	want := fmt.Sprintf("schema version 1, this build reads %d", SchemaVersion)
+	if len(probs) != 1 || probs[0].Member != ManifestMember || probs[0].Msg != want {
+		t.Fatalf("problems = %v, want exactly the manifest's %q", probs, want)
 	}
 }
 

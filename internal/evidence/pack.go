@@ -16,7 +16,9 @@ import (
 )
 
 // SchemaVersion is the evidence-pack schema this build reads and writes.
-const SchemaVersion = 1
+// Version 2 embeds session requests whose WAV fields are base64-encoded
+// once; version 1 packs carry base64 of base64 and are refused.
+const SchemaVersion = 2
 
 // Member names inside a pack zip.
 const (

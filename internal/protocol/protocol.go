@@ -1,19 +1,20 @@
 // Package protocol defines the wire format between the mobile client and
 // the verification server, mirroring the paper's prototype (§V): clients
 // upload zipped (gzip), structured sensor-and-audio bundles; the server
-// replies with the verification decision. JSON is used for the envelope
-// and WAV for the audio payload, both gzip-compressed in transit.
+// replies with the verification decision. A request body is one JSON
+// document, gzip-compressed at gzip.BestSpeed; its audio fields carry
+// raw WAV bytes, which encoding/json base64-encodes exactly once.
 package protocol
 
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
@@ -39,11 +40,13 @@ type VerifyRequest struct {
 	SweepEnd   float64 `json:"sweep_end"`
 	// PilotHz is the ranging pilot frequency used by the capture.
 	PilotHz float64 `json:"pilot_hz"`
-	// CaptureWAV is the base64 WAV of the ranging capture.
+	// CaptureWAV is the ranging capture as WAV bytes; JSON base64-encodes
+	// them once.
 	CaptureWAV []byte `json:"capture_wav"`
 	// Field is the sound-field sweep.
 	Field []FieldJSON `json:"field"`
-	// VoiceWAV is the base64 WAV of the spoken passphrase.
+	// VoiceWAV is the spoken passphrase as WAV bytes; JSON base64-encodes
+	// them once.
 	VoiceWAV []byte `json:"voice_wav"`
 }
 
@@ -95,51 +98,28 @@ type StageJSON struct {
 type VoiceprintRequest struct {
 	// ClaimedUser is the asserted identity.
 	ClaimedUser string `json:"claimed_user"`
-	// VoiceWAV is the base64 WAV of the spoken passphrase.
+	// VoiceWAV is the spoken passphrase as WAV bytes; JSON base64-encodes
+	// them once.
 	VoiceWAV []byte `json:"voice_wav"`
 }
 
 // EncodeVoiceprint serializes and gzips a voiceprint request.
 func EncodeVoiceprint(req *VoiceprintRequest) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(req); err != nil {
-		return nil, fmt.Errorf("protocol: encoding voiceprint request: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("protocol: closing gzip stream: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeBody(req, "voiceprint request")
 }
 
 // DecodeVoiceprint ungzips and parses a voiceprint request.
 func DecodeVoiceprint(r io.Reader) (*VoiceprintRequest, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: opening gzip stream: %w", err)
-	}
-	defer zr.Close()
-	data, err := io.ReadAll(io.LimitReader(zr, MaxPayloadBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("protocol: reading voiceprint request: %w", err)
-	}
-	if len(data) > MaxPayloadBytes {
-		return nil, ErrTooLarge
-	}
 	var req VoiceprintRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("protocol: parsing voiceprint request: %w", err)
+	if err := decodeBody(r, &req, "voiceprint request"); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
 
 // VoiceFromRequest decodes the audio payload of a voiceprint request.
 func VoiceFromRequest(req *VoiceprintRequest) (*audio.Signal, error) {
-	raw, err := decodeB64(req.VoiceWAV)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: voiceprint payload: %w", err)
-	}
-	s, err := audio.ReadWAV(bytes.NewReader(raw))
+	s, err := audio.ReadWAV(bytes.NewReader(req.VoiceWAV))
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding voiceprint audio: %w", err)
 	}
@@ -152,7 +132,7 @@ func VoiceprintFromAudio(user string, voice *audio.Signal) (*VoiceprintRequest, 
 	if err := audio.WriteWAV(&buf, voice); err != nil {
 		return nil, fmt.Errorf("protocol: encoding voiceprint audio: %w", err)
 	}
-	return &VoiceprintRequest{ClaimedUser: user, VoiceWAV: encodeB64(buf.Bytes())}, nil
+	return &VoiceprintRequest{ClaimedUser: user, VoiceWAV: buf.Bytes()}, nil
 }
 
 // EnrollRequest registers a new user with the ASV stage: one or more
@@ -160,7 +140,8 @@ func VoiceprintFromAudio(user string, voice *audio.Signal) (*VoiceprintRequest, 
 type EnrollRequest struct {
 	// User is the identity to enroll.
 	User string `json:"user"`
-	// Sessions holds base64 WAV utterances grouped by recording session.
+	// Sessions holds WAV-byte utterances grouped by recording session;
+	// JSON base64-encodes each utterance once.
 	Sessions [][][]byte `json:"sessions"`
 }
 
@@ -185,7 +166,7 @@ func EnrollFromAudio(user string, sessions [][]*audio.Signal) (*EnrollRequest, e
 			if err := audio.WriteWAV(&buf, utt); err != nil {
 				return nil, fmt.Errorf("protocol: encoding enrollment audio: %w", err)
 			}
-			encoded = append(encoded, encodeB64(buf.Bytes()))
+			encoded = append(encoded, buf.Bytes())
 		}
 		req.Sessions = append(req.Sessions, encoded)
 	}
@@ -197,11 +178,7 @@ func SessionsFromEnroll(req *EnrollRequest) ([][]*audio.Signal, error) {
 	var out [][]*audio.Signal
 	for i, sess := range req.Sessions {
 		var decoded []*audio.Signal
-		for j, raw := range sess {
-			wav, err := decodeB64(raw)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: enrollment payload [%d][%d]: %w", i, j, err)
-			}
+		for j, wav := range sess {
 			s, err := audio.ReadWAV(bytes.NewReader(wav))
 			if err != nil {
 				return nil, fmt.Errorf("protocol: decoding enrollment audio [%d][%d]: %w", i, j, err)
@@ -215,44 +192,57 @@ func SessionsFromEnroll(req *EnrollRequest) ([][]*audio.Signal, error) {
 
 // EncodeEnroll serializes and gzips an enrollment request.
 func EncodeEnroll(req *EnrollRequest) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(req); err != nil {
-		return nil, fmt.Errorf("protocol: encoding enrollment request: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("protocol: closing gzip stream: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeBody(req, "enrollment request")
 }
 
 // DecodeEnroll ungzips and parses an enrollment request.
 func DecodeEnroll(r io.Reader) (*EnrollRequest, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: opening gzip stream: %w", err)
-	}
-	defer zr.Close()
-	data, err := io.ReadAll(io.LimitReader(zr, MaxPayloadBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("protocol: reading enrollment request: %w", err)
-	}
-	if len(data) > MaxPayloadBytes {
-		return nil, ErrTooLarge
-	}
 	var req EnrollRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("protocol: parsing enrollment request: %w", err)
+	if err := decodeBody(r, &req, "enrollment request"); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
 
 // EncodeRequest serializes and gzips a request.
 func EncodeRequest(req *VerifyRequest) ([]byte, error) {
+	return encodeBody(req, "request")
+}
+
+// DecodeRequest ungzips and parses a request.
+func DecodeRequest(r io.Reader) (*VerifyRequest, error) {
+	var req VerifyRequest
+	if err := decodeBody(r, &req, "request"); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// ErrTooLarge is returned when a payload exceeds MaxPayloadBytes.
+var ErrTooLarge = errors.New("protocol: payload too large")
+
+// Every body's gzip stream goes through one pooled writer and one pooled
+// reader: a fresh compressor allocates several hundred KB of tables and
+// a decompressor its 32 KB window, which per request cost more than
+// compressing the body itself.
+var (
+	gzipWriters = sync.Pool{New: func() any {
+		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a constant valid level cannot fail
+		return zw
+	}}
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
+// encodeBody serializes v as one JSON document and gzips it at
+// gzip.BestSpeed; what names the body in errors.
+func encodeBody(v any, what string) ([]byte, error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(req); err != nil {
-		return nil, fmt.Errorf("protocol: encoding request: %w", err)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
+	defer zw.Reset(io.Discard) // the pool must not pin the caller's bytes
+	if err := json.NewEncoder(zw).Encode(v); err != nil {
+		return nil, fmt.Errorf("protocol: encoding %s: %w", what, err)
 	}
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("protocol: closing gzip stream: %w", err)
@@ -260,29 +250,26 @@ func EncodeRequest(req *VerifyRequest) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ErrTooLarge is returned when a payload exceeds MaxPayloadBytes.
-var ErrTooLarge = errors.New("protocol: payload too large")
-
-// DecodeRequest ungzips and parses a request.
-func DecodeRequest(r io.Reader) (*VerifyRequest, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: opening gzip stream: %w", err)
+// decodeBody ungzips r and parses it into v, refusing with ErrTooLarge
+// once the decompressed stream passes MaxPayloadBytes; what names the
+// body in errors.
+func decodeBody(r io.Reader, v any, what string) error {
+	zr := gzipReaders.Get().(*gzip.Reader)
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(r); err != nil {
+		return fmt.Errorf("protocol: opening gzip stream: %w", err)
 	}
-	defer zr.Close()
-	limited := io.LimitReader(zr, MaxPayloadBytes+1)
-	data, err := io.ReadAll(limited)
+	data, err := io.ReadAll(io.LimitReader(zr, MaxPayloadBytes+1))
 	if err != nil {
-		return nil, fmt.Errorf("protocol: reading request: %w", err)
+		return fmt.Errorf("protocol: reading %s: %w", what, err)
 	}
 	if len(data) > MaxPayloadBytes {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
-	var req VerifyRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("protocol: parsing request: %w", err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("protocol: parsing %s: %w", what, err)
 	}
-	return &req, nil
+	return nil
 }
 
 // tracesToWire converts a sensor trace.
@@ -331,8 +318,8 @@ func FromSession(s *core.SessionData, pilotHz float64) (*VerifyRequest, error) {
 		SweepStart:  s.Gesture.SweepStart,
 		SweepEnd:    s.Gesture.SweepEnd,
 		PilotHz:     pilotHz,
-		CaptureWAV:  encodeB64(captureBuf.Bytes()),
-		VoiceWAV:    encodeB64(voiceBuf.Bytes()),
+		CaptureWAV:  captureBuf.Bytes(),
+		VoiceWAV:    voiceBuf.Bytes(),
 	}
 	for _, m := range s.Field {
 		req.Field = append(req.Field, FieldJSON{AngleDeg: m.AngleDeg, FreqHz: m.FreqHz, LevelDB: m.LevelDB})
@@ -342,24 +329,16 @@ func FromSession(s *core.SessionData, pilotHz float64) (*VerifyRequest, error) {
 
 // ToSession reconstructs a core session server-side, re-running the
 // heading fusion and displacement recovery exactly as the paper's backend
-// pipeline does on uploaded data.
+// pipeline does on uploaded data. A session it returns passes Validate.
 func ToSession(req *VerifyRequest) (*core.SessionData, error) {
 	if req == nil {
 		return nil, errors.New("protocol: nil request")
 	}
-	voiceWAV, err := decodeB64(req.VoiceWAV)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: voice payload: %w", err)
-	}
-	voice, err := audio.ReadWAV(bytes.NewReader(voiceWAV))
+	voice, err := audio.ReadWAV(bytes.NewReader(req.VoiceWAV))
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding voice: %w", err)
 	}
-	captureWAV, err := decodeB64(req.CaptureWAV)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: capture payload: %w", err)
-	}
-	capture, err := audio.ReadWAV(bytes.NewReader(captureWAV))
+	capture, err := audio.ReadWAV(bytes.NewReader(req.CaptureWAV))
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding capture: %w", err)
 	}
@@ -381,6 +360,9 @@ func ToSession(req *VerifyRequest) (*core.SessionData, error) {
 		s.Field = append(s.Field, soundfield.Measurement{
 			AngleDeg: m.AngleDeg, FreqHz: m.FreqHz, LevelDB: m.LevelDB,
 		})
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("protocol: rebuilt session: %w", err)
 	}
 	return s, nil
 }
@@ -420,19 +402,4 @@ func wireScore(s float64) float64 {
 		return -math.MaxFloat64
 	}
 	return s
-}
-
-func encodeB64(raw []byte) []byte {
-	out := make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
-	base64.StdEncoding.Encode(out, raw)
-	return out
-}
-
-func decodeB64(enc []byte) ([]byte, error) {
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(enc)))
-	n, err := base64.StdEncoding.Decode(out, enc)
-	if err != nil {
-		return nil, err
-	}
-	return out[:n], nil
 }

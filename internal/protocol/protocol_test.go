@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 	"voiceguard/internal/speech"
 )
 
-func sampleSession(t *testing.T, seed int64) *VerifyRequest {
+func sampleSession(t testing.TB, seed int64) *VerifyRequest {
 	t.Helper()
 	victim := speech.RandomProfile("victim", newRand(seed))
 	s, err := attack.Genuine(victim, attack.Scenario{Seed: seed})
@@ -88,7 +89,7 @@ func TestDecodeRequestErrors(t *testing.T) {
 	}
 	// Corrupt voice payload.
 	req := sampleSession(t, 4)
-	req.VoiceWAV = []byte("!!!not-base64!!!")
+	req.VoiceWAV = []byte("!!!not-a-wav!!!")
 	if _, err := ToSession(req); err == nil {
 		t.Error("corrupt voice accepted")
 	}
@@ -99,19 +100,32 @@ func TestDecodeRequestErrors(t *testing.T) {
 	}
 }
 
+// TestTooLarge feeds every body decoder a small gzip stream that inflates
+// past MaxPayloadBytes. Each must refuse with ErrTooLarge, and the pooled
+// reader that hit the cap must decode the next body cleanly.
 func TestTooLarge(t *testing.T) {
-	// A payload expanding beyond MaxPayloadBytes must be rejected. Build
-	// a gzip stream of zeros larger than the cap.
-	var buf bytes.Buffer
-	enc, err := EncodeRequest(&VerifyRequest{ClaimedUser: "x"})
+	bomb := gzipBomb()
+	good, err := EncodeVoiceprint(&VoiceprintRequest{ClaimedUser: "u"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(enc)
-	// Construct an oversized stream: not worth 64 MB in a unit test, so
-	// just verify the error type plumbing with the sentinel.
-	if !errors.Is(ErrTooLarge, ErrTooLarge) {
-		t.Fatal("sentinel broken")
+	for _, tc := range []struct {
+		name   string
+		decode func(io.Reader) error
+	}{
+		{"request", func(r io.Reader) error { _, err := DecodeRequest(r); return err }},
+		{"enroll", func(r io.Reader) error { _, err := DecodeEnroll(r); return err }},
+		{"voiceprint", func(r io.Reader) error { _, err := DecodeVoiceprint(r); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.decode(bytes.NewReader(bomb)); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("bomb: err = %v, want ErrTooLarge", err)
+			}
+			got, err := DecodeVoiceprint(bytes.NewReader(good))
+			if err != nil || got.ClaimedUser != "u" {
+				t.Fatalf("body after bomb: %+v, %v", got, err)
+			}
+		})
 	}
 }
 

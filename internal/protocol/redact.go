@@ -55,11 +55,7 @@ func SessionEnvelopeFromRequest(traceID string, req *VerifyRequest, mode string)
 			if len(ch.wav) == 0 {
 				continue
 			}
-			raw, err := decodeB64(ch.wav)
-			if err != nil {
-				return env, fmt.Errorf("protocol: redacting %s payload: %w", ch.name, err)
-			}
-			sig, err := audio.ReadWAV(bytes.NewReader(raw))
+			sig, err := audio.ReadWAV(bytes.NewReader(ch.wav))
 			if err != nil {
 				return env, fmt.Errorf("protocol: redacting %s audio: %w", ch.name, err)
 			}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -73,7 +74,9 @@ func TestSessionEnvelopeRedaction(t *testing.T) {
 	if len(redacted.VoiceWAV) != 0 || len(redacted.CaptureWAV) != 0 {
 		t.Fatal("redacted envelope still carries raw audio")
 	}
-	if bytes.Contains(env.Request, req.VoiceWAV[:64]) {
+	// JSON carries WAV bytes as base64 aligned to the field start, so a
+	// slice at a multiple of 3 bytes would appear as this exact text.
+	if bytes.Contains(env.Request, []byte(base64.StdEncoding.EncodeToString(req.VoiceWAV[3000:3048]))) {
 		t.Fatal("redacted envelope contains raw voice bytes")
 	}
 	// ...and the non-audio channels must survive.

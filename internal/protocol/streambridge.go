@@ -54,11 +54,7 @@ func StreamFrames(traceID string, req *VerifyRequest) ([]stream.Frame, error) {
 		{stream.AudioCapture, req.CaptureWAV, "capture"},
 		{stream.AudioVoice, req.VoiceWAV, "voice"},
 	} {
-		raw, err := decodeB64(ch.wav)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: %s payload: %w", ch.what, err)
-		}
-		sig, err := audio.ReadWAV(bytes.NewReader(raw))
+		sig, err := audio.ReadWAV(bytes.NewReader(ch.wav))
 		if err != nil {
 			return nil, fmt.Errorf("protocol: decoding %s: %w", ch.what, err)
 		}
